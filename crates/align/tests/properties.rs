@@ -499,6 +499,95 @@ fn deconstructed_lazy_f_is_bit_identical_to_reference() {
     }
 }
 
+/// Minimal best endpoint from a plain scalar Gotoh H matrix: the first
+/// subject column whose maximum strictly beats every earlier column's,
+/// and the smallest query index attaining that maximum within it.
+/// `(score, query_end, subject_end)`; `(0, 0, 0)` when nothing scores.
+fn scalar_min_endpoint(
+    a: &[AminoAcid],
+    b: &[AminoAcid],
+    m: &SubstitutionMatrix,
+    g: GapPenalties,
+) -> (i32, usize, usize) {
+    const NEG: i32 = i32::MIN / 4;
+    let (open_ext, ext) = (g.open + g.extend, g.extend);
+    // h[i][j] is H at query row i, subject column j (1-based; row and
+    // column 0 are the zero boundary).
+    let mut h = vec![vec![0i32; b.len() + 1]; a.len() + 1];
+    let mut e = vec![vec![NEG; b.len() + 1]; a.len() + 1];
+    let mut f = vec![vec![NEG; b.len() + 1]; a.len() + 1];
+    for i in 1..=a.len() {
+        for j in 1..=b.len() {
+            e[i][j] = (e[i][j - 1] - ext).max(h[i][j - 1] - open_ext);
+            f[i][j] = (f[i - 1][j] - ext).max(h[i - 1][j] - open_ext);
+            let diag = h[i - 1][j - 1] + m.score(a[i - 1], b[j - 1]);
+            h[i][j] = 0.max(diag).max(e[i][j]).max(f[i][j]);
+        }
+    }
+    let mut best = (0, 0, 0);
+    for j in 0..b.len() {
+        let col = || h[1..].iter().map(|row| row[j + 1]);
+        let col_max = col().max().unwrap_or(0);
+        if col_max > best.0 {
+            let i = col().position(|v| v == col_max).unwrap();
+            best = (col_max, i, j);
+        }
+    }
+    best
+}
+
+/// The endpoint pass has no `_ref` oracle, so it is checked against a
+/// scalar recomputation: same score as the score-only kernel and
+/// scalar SW, and the SSW-style minimal end cell, at both lane widths.
+#[test]
+fn score_ends_reports_minimal_endpoint() {
+    let m = SubstitutionMatrix::blosum62();
+    // The corpus of `deconstructed_lazy_f_is_bit_identical_to_reference`.
+    let mut rng = Xoshiro256::new(0xDEC0);
+    let mut ws8 = striped::Workspace::<8>::new();
+    let mut ws16 = striped::Workspace::<16>::new();
+    for case in 0..CASES {
+        let (a, b) = if case % 2 == 0 {
+            (protein(&mut rng, 90), protein(&mut rng, 90))
+        } else {
+            (gappy_protein(&mut rng, 90), gappy_protein(&mut rng, 90))
+        };
+        let g = if case % 3 == 0 {
+            GapPenalties::new(1 + rng.next_below(3) as i32, 1)
+        } else {
+            gap_penalties(&mut rng)
+        };
+        let (expect, query_end, subject_end) = scalar_min_endpoint(&a, &b, &m, g);
+        assert_eq!(
+            expect,
+            sw::score(&a, &b, &m, g),
+            "scalar oracle case {case}"
+        );
+
+        let p128 = QueryProfile::build(&a, &m, 8);
+        let ends = striped::score_ends_with_profile::<8>(&p128, &b, g, &mut ws8);
+        let plain = striped::score_with_profile::<8>(&p128, &b, g, &mut ws8);
+        assert_eq!(ends.score, plain, "L=8 ends vs score-only case {case}");
+        assert_eq!(ends.score, expect, "L=8 ends vs scalar case {case}");
+        assert_eq!(
+            (ends.query_end, ends.subject_end),
+            (query_end, subject_end),
+            "L=8 endpoint case {case}"
+        );
+
+        let p256 = QueryProfile::build(&a, &m, 16);
+        let ends = striped::score_ends_with_profile::<16>(&p256, &b, g, &mut ws16);
+        let plain = striped::score_with_profile::<16>(&p256, &b, g, &mut ws16);
+        assert_eq!(ends.score, plain, "L=16 ends vs score-only case {case}");
+        assert_eq!(ends.score, expect, "L=16 ends vs scalar case {case}");
+        assert_eq!(
+            (ends.query_end, ends.subject_end),
+            (query_end, subject_end),
+            "L=16 endpoint case {case}"
+        );
+    }
+}
+
 /// End-to-end traceback contract: every hit an exact engine reports
 /// with `report_alignments` carries coordinates and a CIGAR that
 /// replay to exactly the reported score — including hits that took the
