@@ -3,21 +3,23 @@
 //! Database search is embarrassingly parallel across subjects — the
 //! paper's related-work section notes that most prior art studies
 //! exactly this axis (cluster/SMP scaling) while the paper itself
-//! studies the single processor. This module provides two layers:
+//! studies the single processor. Every parallel front end here runs
+//! one private work-claiming loop: scoped workers grab `chunk`
+//! consecutive items per atomic `fetch_add` on a shared cursor (batches
+//! cut cursor contention on short subjects), keep one reusable
+//! workspace each, and the merge restores item order.
 //!
-//! * [`par_scores`] / [`par_search`] — a subject-parallel driver for
-//!   any pure scoring function, with **chunked** work claiming
-//!   (workers grab batches of subjects per atomic `fetch_add` instead
-//!   of one, cutting cursor contention on short subjects);
-//! * [`engine_scores`] / [`engine_search`] — the same pipeline driven
-//!   through an [`AlignmentEngine`]: one shared engine (query index /
-//!   profile) threaded through all workers, one reusable
+//! * [`engine_scores`] / [`engine_search`] / [`engine_search_bounded`]
+//!   drive it through an [`AlignmentEngine`]: one shared engine (query
+//!   index / profile) threaded through all workers, one reusable
 //!   [`AlignmentEngine::Workspace`] per worker (zero per-subject
 //!   allocation), per-engine statistics harvested from the workspaces,
 //!   and deterministic, thread-count-independent results.
+//! * [`align_hits`] drives it one hit at a time with a striped
+//!   workspace per worker, to trace back the ranked hits.
 //!
-//! Both layers share one chunked work-claiming loop; determinism is
-//! enforced by tests that compare thread counts {1, 2, 8}.
+//! Determinism is enforced by tests that compare thread counts
+//! {1, 2, 8}.
 //!
 //! ## Graceful degradation
 //!
@@ -68,17 +70,17 @@ fn auto_chunk(subject_count: usize, threads: usize) -> usize {
 /// What one worker hands back: scored pairs, quarantined pairs, and
 /// every workspace it used (including ones discarded after a panic, so
 /// per-workspace counters survive and totals stay deterministic).
-struct WorkerYield<W> {
-    scored: Vec<(usize, i32)>,
+struct WorkerYield<W, R> {
+    scored: Vec<(usize, R)>,
     quarantined: Vec<(usize, String)>,
     workspaces: Vec<W>,
 }
 
-/// What the merged loop hands back to the engine front ends.
-struct ChunkedOutcome<W> {
-    /// Per-subject scores; `None` = quarantined or never attempted
-    /// (wall-clock deadline hit before the subject was claimed).
-    scores: Vec<Option<i32>>,
+/// What the merged loop hands back to the front ends.
+struct ChunkedOutcome<W, R> {
+    /// Per-item outputs; `None` = quarantined or never attempted
+    /// (wall-clock deadline hit before the item was claimed).
+    scores: Vec<Option<R>>,
     /// Panicking subjects with causes, ascending by index.
     quarantined: Vec<(usize, String)>,
     /// Every workspace any worker used.
@@ -98,34 +100,37 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The one chunked work-claiming loop behind every parallel front end.
 ///
 /// Spawns up to `threads` scoped workers; each builds one workspace
-/// with `make_ws`, claims `chunk` consecutive subjects per `fetch_add`
-/// on a shared cursor, and records `(index, score)` pairs. The merge
-/// restores subject order — output is identical no matter how chunks
+/// with `make_ws`, claims `chunk` consecutive items per `fetch_add`
+/// on a shared cursor, and records `(index, output)` pairs. The merge
+/// restores item order — output is identical no matter how chunks
 /// interleave — and the workspaces are returned so callers can harvest
 /// per-worker statistics.
 ///
-/// Every `score_fn` call runs under `catch_unwind`: a panicking subject
+/// Every `score_fn` call runs under `catch_unwind`: a panicking item
 /// is recorded in `quarantined` and its worker replaces the workspace
 /// (the panic may have left it mid-update) while keeping the old one
 /// for counter harvesting. With `wall` set, workers stop claiming new
 /// chunks once the instant passes — a best-effort, non-deterministic
 /// cutoff used only by [`Deadline::Wall`].
-fn chunked_scores<W, M, F>(
+fn chunked_scores<W, R, M, F>(
     subject_count: usize,
     threads: usize,
     chunk: usize,
     wall: Option<Instant>,
     make_ws: M,
     score_fn: F,
-) -> ChunkedOutcome<W>
+) -> ChunkedOutcome<W, R>
 where
     W: Send,
+    R: Send,
     M: Fn() -> W + Sync,
-    F: Fn(&mut W, usize) -> i32 + Sync,
+    F: Fn(&mut W, usize) -> R + Sync,
 {
     assert!(threads > 0, "need at least one thread");
     assert!(chunk > 0, "need a positive chunk size");
-    let scores: Vec<Option<i32>> = vec![None; subject_count];
+    let scores: Vec<Option<R>> = std::iter::repeat_with(|| None)
+        .take(subject_count)
+        .collect();
     if subject_count == 0 {
         return ChunkedOutcome {
             scores,
@@ -136,7 +141,7 @@ where
     let threads = threads.min(subject_count.div_ceil(chunk));
     let cursor = AtomicUsize::new(0);
 
-    let mut partials: Vec<WorkerYield<W>> = Vec::new();
+    let mut partials: Vec<WorkerYield<W, R>> = Vec::new();
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for _ in 0..threads {
@@ -195,91 +200,6 @@ where
     }
     out.quarantined.sort_by_key(|&(i, _)| i);
     out
-}
-
-/// Scores every subject with `score_fn` using `threads` worker
-/// threads, returning per-subject scores in subject order (independent
-/// of the thread count).
-///
-/// `score_fn` is called once per subject index and must be pure.
-/// Work is claimed in chunks chosen automatically; use
-/// [`par_scores_chunked`] to pin the chunk size.
-///
-/// # Panics
-///
-/// Panics if `threads` is 0, or propagates a panic from `score_fn`.
-pub fn par_scores<F>(subject_count: usize, threads: usize, score_fn: F) -> Vec<i32>
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let chunk = auto_chunk(subject_count, threads.max(1));
-    par_scores_chunked(subject_count, threads, chunk, score_fn)
-}
-
-/// [`par_scores`] with an explicit claim-chunk size: each worker grabs
-/// `chunk` consecutive subjects per `fetch_add` on the shared cursor.
-///
-/// # Panics
-///
-/// Panics if `threads` or `chunk` is 0, or propagates a panic from
-/// `score_fn`.
-pub fn par_scores_chunked<F>(
-    subject_count: usize,
-    threads: usize,
-    chunk: usize,
-    score_fn: F,
-) -> Vec<i32>
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let out = chunked_scores(
-        subject_count,
-        threads,
-        chunk,
-        None,
-        || (),
-        |_, i| score_fn(i),
-    );
-    // This raw layer documents panic propagation; quarantine is the
-    // engine layer's contract.
-    if let Some((i, cause)) = out.quarantined.first() {
-        panic!("score_fn panicked on subject {i}: {cause}");
-    }
-    out.scores
-        .into_iter()
-        .map(|s| s.expect("no deadline: every subject scored"))
-        .collect()
-}
-
-/// Parallel ranked search: scores every subject with `score_fn` on
-/// `threads` threads and returns the best `keep` hits with scores of at
-/// least `min_score`.
-///
-/// # Panics
-///
-/// Panics if `threads` or `keep` is 0.
-pub fn par_search<F>(
-    subject_count: usize,
-    threads: usize,
-    keep: usize,
-    min_score: i32,
-    score_fn: F,
-) -> SearchResults
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let scores = par_scores(subject_count, threads, score_fn);
-    collect_hits(scores, keep, min_score)
-}
-
-fn collect_hits(scores: Vec<i32>, keep: usize, min_score: i32) -> SearchResults {
-    let mut results = TopK::new(keep);
-    for (seq_index, score) in scores.into_iter().enumerate() {
-        if score >= min_score {
-            results.push(Hit { seq_index, score });
-        }
-    }
-    results.finish()
 }
 
 /// Sentinel stored in an [`engine_scores`] slot whose subject was
@@ -475,15 +395,14 @@ pub fn engine_search_bounded<E: AlignmentEngine>(
 /// Hits are few (top-k) but individually heavy (three extra passes per
 /// hit), so workers claim one hit at a time. One query profile is built
 /// and shared; each worker keeps a reusable striped workspace. A hit
-/// whose traceback panics yields `None` in its slot (mirroring the
-/// scan-side quarantine policy) and the worker's workspace is
-/// discarded. The output is indexed like `hits` — deterministic and
-/// thread-count independent.
+/// whose traceback panics — an out-of-range `seq_index` included —
+/// yields `None` in its slot (the scan-side quarantine policy) and the
+/// worker's workspace is replaced. The output is indexed like `hits` —
+/// deterministic and thread-count independent.
 ///
 /// # Panics
 ///
-/// Panics if `threads` is 0 or a hit's `seq_index` is out of bounds
-/// for `subjects`.
+/// Panics if `threads` is 0.
 pub fn align_hits<const L: usize>(
     query: &[AminoAcid],
     matrix: &SubstitutionMatrix,
@@ -497,59 +416,26 @@ pub fn align_hits<const L: usize>(
         return Vec::new();
     }
     let profile = QueryProfile::build(query, matrix, L);
-    let n = hits.len();
-    let workers = threads.min(n);
-    let cursor = AtomicUsize::new(0);
-
-    let mut partials: Vec<Vec<(usize, Option<Alignment>)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let profile = &profile;
-            handles.push(scope.spawn(move || {
-                let mut ws = Workspace::<L>::new();
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let hit = hits[i];
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        traceback::align_hit::<L>(
-                            query,
-                            matrix,
-                            gaps,
-                            profile,
-                            subjects[hit.seq_index],
-                            hit.score,
-                            &mut ws,
-                        )
-                    }));
-                    match outcome {
-                        Ok(alignment) => local.push((i, alignment)),
-                        Err(_) => {
-                            ws = Workspace::new();
-                            local.push((i, None));
-                        }
-                    }
-                }
-                local
-            }));
-        }
-        for handle in handles {
-            partials.push(handle.join().expect("traceback worker panicked"));
-        }
-    });
-
-    let mut out = vec![None; n];
-    for partial in partials {
-        for (i, alignment) in partial {
-            out[i] = alignment;
-        }
-    }
-    out
+    let out = chunked_scores(
+        hits.len(),
+        threads,
+        1,
+        None,
+        Workspace::<L>::new,
+        |ws, i| {
+            let hit = hits[i];
+            traceback::align_hit::<L>(
+                query,
+                matrix,
+                gaps,
+                &profile,
+                subjects[hit.seq_index],
+                hit.score,
+                ws,
+            )
+        },
+    );
+    out.scores.into_iter().map(Option::flatten).collect()
 }
 
 #[cfg(test)]
@@ -562,6 +448,21 @@ mod tests {
     use sapa_bioseq::profile::QueryProfile;
     use sapa_bioseq::queries::QuerySet;
     use sapa_bioseq::SubstitutionMatrix;
+
+    /// Every output of the work-claiming loop over a pure function.
+    fn claim_all<R: Send>(
+        n: usize,
+        threads: usize,
+        chunk: usize,
+        f: impl Fn(usize) -> R + Sync,
+    ) -> Vec<R> {
+        let out = chunked_scores(n, threads, chunk, None, || (), |_, i| f(i));
+        assert!(out.quarantined.is_empty());
+        out.scores
+            .into_iter()
+            .map(|s| s.expect("no deadline: every item claimed"))
+            .collect()
+    }
 
     #[test]
     fn scores_are_deterministic_across_thread_counts() {
@@ -577,7 +478,8 @@ mod tests {
         let g = GapPenalties::paper();
 
         let run = |threads: usize| {
-            par_scores(db.len(), threads, |i| {
+            let chunk = auto_chunk(db.len(), threads);
+            claim_all(db.len(), threads, chunk, |i| {
                 sw::score(query.residues(), db.sequences()[i].residues(), &m, g)
             })
         };
@@ -634,6 +536,37 @@ mod tests {
     }
 
     #[test]
+    fn align_hits_quarantines_a_panicking_traceback_in_its_slot() {
+        let m = SubstitutionMatrix::blosum62();
+        let g = GapPenalties::paper();
+        let query = QuerySet::paper().by_accession("P02232").unwrap().clone();
+        let slices = [query.residues()];
+        // The middle hit names a subject that does not exist, so its
+        // traceback panics; its neighbours must still align in place.
+        let score = sw::score(query.residues(), query.residues(), &m, g);
+        let hits = [
+            Hit {
+                seq_index: 0,
+                score,
+            },
+            Hit {
+                seq_index: 7,
+                score,
+            },
+            Hit {
+                seq_index: 0,
+                score,
+            },
+        ];
+        for threads in [1, 2] {
+            let out = align_hits::<8>(query.residues(), &m, g, &slices, &hits, threads);
+            assert_eq!(out.len(), hits.len());
+            assert!(out[1].is_none(), "threads {threads}");
+            assert!(out[0].is_some() && out[0] == out[2], "threads {threads}");
+        }
+    }
+
+    #[test]
     fn chunked_claiming_is_thread_count_invariant() {
         // The satellite regression: chunked claiming must return
         // identical results for threads ∈ {1, 2, 8}, at several chunk
@@ -642,7 +575,7 @@ mod tests {
         let expect: Vec<i32> = (0..n).map(|i| (i * i % 97) as i32).collect();
         for chunk in [1usize, 3, 16, 64, 200] {
             for threads in [1usize, 2, 8] {
-                let got = par_scores_chunked(n, threads, chunk, |i| (i * i % 97) as i32);
+                let got = claim_all(n, threads, chunk, |i| (i * i % 97) as i32);
                 assert_eq!(got, expect, "chunk {chunk} threads {threads}");
             }
         }
@@ -650,8 +583,11 @@ mod tests {
 
     #[test]
     fn ranked_search_matches_serial_filtering() {
-        let scores = [5, 40, 12, 40, 3, 99];
-        let r = par_search(scores.len(), 3, 4, 10, |i| scores[i]);
+        // FlakyEngine scores each subject by its length.
+        let owned = subjects_of_lengths(&[5, 40, 12, 40, 3, 99]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let engine = FlakyEngine { stride: usize::MAX };
+        let (r, _) = engine_search(&engine, &slices, 3, 4, 10);
         let hits = r.hits();
         assert_eq!(hits[0].score, 99);
         assert_eq!(hits[1].score, 40);
@@ -663,7 +599,7 @@ mod tests {
 
     #[test]
     fn empty_database_is_fine() {
-        assert!(par_scores(0, 4, |_| 0).is_empty());
+        assert!(claim_all(0, 4, 1, |_| 0).is_empty());
         let m = SubstitutionMatrix::blosum62();
         let g = GapPenalties::paper();
         let engine = StripedEngine::<16, 8>::from_query(&[], &m, g);
@@ -676,18 +612,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let _ = par_scores(3, 0, |_| 0);
+        let _ = claim_all(3, 0, 1, |_| 0);
     }
 
     #[test]
     #[should_panic(expected = "positive chunk")]
     fn zero_chunk_rejected() {
-        let _ = par_scores_chunked(3, 1, 0, |_| 0);
+        let _ = claim_all(3, 1, 0, |_| 0);
     }
 
     #[test]
     fn more_threads_than_subjects_is_fine() {
-        let v = par_scores(2, 16, |i| i as i32);
+        let v = claim_all(2, 16, 1, |i| i as i32);
         assert_eq!(v, vec![0, 1]);
     }
 

@@ -252,204 +252,3 @@ mod tests {
         assert_eq!(score::<8>(&a, &b, &m, g), expect);
     }
 }
-
-/// Byte-precision Smith-Waterman over unsigned 8-bit lanes — the fast
-/// first pass real SIMD implementations run (16 lanes per 128-bit
-/// register instead of 8), falling back to 16-bit only on overflow.
-///
-/// Returns `None` when any cell's score comes within the safety margin
-/// of `u8::MAX`, in which case the caller must re-run at 16-bit
-/// precision (see [`score_adaptive`]).
-///
-/// Local-alignment scores are non-negative, so unsigned saturating
-/// subtraction provides the zero floor for free; substitution scores
-/// are biased by `-matrix.min_score()` before the add and un-biased
-/// after.
-pub fn score_bytes<const L: usize>(
-    a: &[AminoAcid],
-    b: &[AminoAcid],
-    matrix: &SubstitutionMatrix,
-    gaps: GapPenalties,
-) -> Option<i32> {
-    use sapa_vsimd::ByteVector;
-
-    if a.is_empty() || b.is_empty() {
-        return Some(0);
-    }
-    let m = a.len();
-    let n = b.len();
-    let bias = (-matrix.min_score()).max(0);
-    if bias > 100 || matrix.max_score() + bias > 120 {
-        return None; // matrix too wide for byte precision
-    }
-    let bias_v = ByteVector::<L>::splat(bias as u8);
-    let open_ext = ByteVector::<L>::splat((gaps.open + gaps.extend).min(255) as u8);
-    let ext = ByteVector::<L>::splat(gaps.extend.min(255) as u8);
-    const OVERFLOW_GUARD: u8 = 250;
-
-    // Carry rows between strips (H of the strip's last row; F decays
-    // from it). u8 floor-at-zero representation throughout.
-    let mut carry_h = vec![0u8; n];
-    let mut carry_f = vec![0u8; n];
-
-    let mut best = 0u8;
-
-    let mut i0 = 0usize;
-    while i0 < m {
-        let mut next_h = vec![0u8; n];
-        let mut next_f = vec![0u8; n];
-
-        let mut h_dm1 = ByteVector::<L>::zero();
-        let mut h_dm2 = ByteVector::<L>::zero();
-        let mut e_dm1 = ByteVector::<L>::zero();
-        let mut f_dm1 = ByteVector::<L>::zero();
-
-        for d in 0..(n + L - 1) {
-            let b_h = if d < n { carry_h[d] } else { 0 };
-            let b_f = if d < n { carry_f[d] } else { 0 };
-            let b_hd = if d >= 1 && d - 1 < n {
-                carry_h[d - 1]
-            } else {
-                0
-            };
-
-            let e_d = e_dm1.subs(ext).max(h_dm1.subs(open_ext));
-            let f_shift = f_dm1.shift_in_first(b_f);
-            let h_shift = h_dm1.shift_in_first(b_h);
-            let f_d = f_shift.subs(ext).max(h_shift.subs(open_ext));
-
-            let mut h_diag = h_dm2.shift_in_first(b_hd);
-            if d < L {
-                h_diag = h_diag.insert(d, 0);
-            }
-
-            // Gather biased scores; invalid lanes get 0 (= true score
-            // −bias, at or below the matrix minimum, so they decay).
-            let mut s_d = ByteVector::<L>::zero();
-            for k in 0..L {
-                let i = i0 + k;
-                if i >= m || d < k {
-                    continue;
-                }
-                let j = d - k;
-                if j < n {
-                    s_d = s_d.insert(k, (matrix.score(a[i], b[j]) + bias) as u8);
-                }
-            }
-
-            let summed = h_diag.adds(s_d);
-            if summed.horizontal_max() >= OVERFLOW_GUARD {
-                return None;
-            }
-            let h_d = summed.subs(bias_v).max(e_d).max(f_d);
-
-            let hm = h_d.horizontal_max();
-            if hm > best {
-                best = hm;
-            }
-
-            if d + 1 >= L {
-                let col = d + 1 - L;
-                if col < n {
-                    next_h[col] = h_d.extract(L - 1);
-                    next_f[col] = f_d.extract(L - 1);
-                }
-            }
-
-            h_dm2 = h_dm1;
-            h_dm1 = h_d;
-            e_dm1 = e_d;
-            f_dm1 = f_d;
-        }
-
-        carry_h = next_h;
-        carry_f = next_f;
-        i0 += L;
-    }
-
-    Some(i32::from(best))
-}
-
-/// Adaptive-precision SIMD Smith-Waterman: byte pass first (double the
-/// lanes of [`score`]), 16-bit re-run on overflow. `LB` is the byte
-/// lane count and `LW` the word lane count of the same register width
-/// (16/8 for Altivec-128, 32/16 for the 256-bit extension).
-pub fn score_adaptive<const LB: usize, const LW: usize>(
-    a: &[AminoAcid],
-    b: &[AminoAcid],
-    matrix: &SubstitutionMatrix,
-    gaps: GapPenalties,
-) -> i32 {
-    match score_bytes::<LB>(a, b, matrix, gaps) {
-        Some(s) => s,
-        None => score::<LW>(a, b, matrix, gaps),
-    }
-}
-
-#[cfg(test)]
-mod byte_tests {
-    use super::*;
-    use crate::sw;
-    use sapa_bioseq::Sequence;
-
-    fn seq(s: &str) -> Vec<AminoAcid> {
-        Sequence::from_str("t", s).unwrap().residues().to_vec()
-    }
-
-    fn bl62() -> SubstitutionMatrix {
-        SubstitutionMatrix::blosum62()
-    }
-
-    #[test]
-    fn byte_pass_matches_scalar_when_in_range() {
-        let m = bl62();
-        let g = GapPenalties::paper();
-        let cases = [
-            ("HEAGAWGHEE", "PAWHEAE"),
-            ("MKVLAA", "MKVLAA"),
-            ("MKWVTFISLLFLFSSAYS", "MKWVTFISLL"),
-            ("AAAA", "WWWW"),
-        ];
-        for (x, y) in cases {
-            let a = seq(x);
-            let b = seq(y);
-            let expect = sw::score(&a, &b, &m, g);
-            assert_eq!(score_bytes::<16>(&a, &b, &m, g), Some(expect), "{x} vs {y}");
-            assert_eq!(score_bytes::<32>(&a, &b, &m, g), Some(expect));
-        }
-    }
-
-    #[test]
-    fn byte_pass_overflows_on_long_identities() {
-        // A long self-match exceeds 250 raw, forcing the fallback.
-        let m = bl62();
-        let g = GapPenalties::paper();
-        let a = seq(&"MKWVTFISLL".repeat(8)); // self score ≈ 8 × 55
-        assert_eq!(score_bytes::<16>(&a, &a, &m, g), None);
-        // The adaptive wrapper still returns the exact score.
-        let expect = sw::score(&a, &a, &m, g);
-        assert_eq!(score_adaptive::<16, 8>(&a, &a, &m, g), expect);
-    }
-
-    #[test]
-    fn adaptive_matches_scalar_both_regimes() {
-        let m = bl62();
-        let g = GapPenalties::paper();
-        let short = seq("HEAGAWGHEE");
-        let long = seq(&"ACDEFGHIKLMNPQRSTVWY".repeat(5));
-        for (a, b) in [(&short, &short), (&long, &long), (&short, &long)] {
-            assert_eq!(score_adaptive::<16, 8>(a, b, &m, g), sw::score(a, b, &m, g));
-            assert_eq!(
-                score_adaptive::<32, 16>(a, b, &m, g),
-                sw::score(a, b, &m, g)
-            );
-        }
-    }
-
-    #[test]
-    fn empty_inputs() {
-        let m = bl62();
-        let g = GapPenalties::paper();
-        assert_eq!(score_bytes::<16>(&[], &seq("AC"), &m, g), Some(0));
-    }
-}

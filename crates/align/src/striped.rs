@@ -21,17 +21,14 @@
 //! wrap under Farrar's termination test. Snytsar's further step — a
 //! `log2(L)`-step max-plus prefix scan folding all wraps into one
 //! pass — was implemented and measured slower on this crate's
-//! emulated vectors; see `correct_lazy_f`'s comment for the
-//! numbers-driven reasoning. The pre-deconstruction Farrar loop is
-//! kept as [`score_with_profile_ref`]/[`score_bytes_with_profile_ref`]
-//! for the bit-identity property tests and the speedup benchmark.
+//! emulated vectors; see the comment in the column loop. The
+//! pre-deconstruction Farrar loop is kept as
+//! [`score_with_profile_ref`]/[`score_bytes_with_profile_ref`] for the
+//! bit-identity property tests and the speedup benchmark.
 //!
-//! [`score_ends_with_profile`] additionally reports the *end cell* of
-//! the best local alignment (SSW-style minimal endpoint: first column
-//! attaining the best score, smallest query offset within it) — the
-//! first pass of the three-pass traceback in [`crate::traceback`].
-//!
-//! Two precisions share the machinery:
+//! Like SSW, every live entry point runs **one** column loop, generic
+//! over the lane scalar and the lane count of a
+//! [`sapa_vsimd::Lanes`] register:
 //!
 //! * [`score_with_profile`] — 16-bit signed lanes (`Vector<L>`), exact
 //!   for every score below `i16::MAX`;
@@ -39,7 +36,18 @@
 //!   (`ByteVector<L>`, twice the lanes per register) with saturation
 //!   detection; [`score_adaptive_with_profile`] runs bytes first and
 //!   rescores the rare overflowing subject in 16-bit — the SSW
-//!   overflow-recovery scheme.
+//!   overflow-recovery scheme;
+//! * [`score_ends_with_profile`] — the 16-bit pass that also reports
+//!   the *end cell* of the best local alignment (SSW-style minimal
+//!   endpoint: first column attaining the best score, smallest query
+//!   offset within it) — the first pass of the three-pass traceback in
+//!   [`crate::traceback`].
+//!
+//! What differs between them is small: the lane scalar supplies the
+//! dead value, the profile row and the profile add (zero floor in
+//! 16-bit, bias subtraction in 8-bit), and a per-column step after the
+//! lazy-F correction does the rest — nothing for the 16-bit score, the
+//! saturation guard for bytes, endpoint tracking for the end pass.
 //!
 //! Every variant is score-identical to the scalar Gotoh oracle
 //! ([`crate::sw::score`]); the property suite in `tests/properties.rs`
@@ -62,63 +70,235 @@
 //! # }
 //! ```
 
+use std::ops::ControlFlow;
+
 use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::profile::{QueryProfile, WORD_PAD};
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
-use sapa_vsimd::{ByteVector, Vector};
+use sapa_vsimd::{ByteVector, Lane, Lanes, Vector};
 
-/// Reusable 16-bit row state for the striped kernel: three arrays of
+/// Reusable row state for the striped kernel: three arrays of
 /// `segments` vectors (H current, H previous, E). A database-search
 /// worker allocates one workspace and reuses it for every subject —
 /// the buffers are sized by the *query*, which is fixed for the scan.
 #[derive(Debug, Clone, Default)]
-pub struct Workspace<const L: usize> {
-    h_store: Vec<Vector<L>>,
-    h_load: Vec<Vector<L>>,
-    e: Vec<Vector<L>>,
+pub struct RowWorkspace<T: Lane, const L: usize> {
+    h_store: Vec<Lanes<T, L>>,
+    h_load: Vec<Lanes<T, L>>,
+    e: Vec<Lanes<T, L>>,
 }
 
-impl<const L: usize> Workspace<L> {
+/// 16-bit row state, for [`score_with_profile`] and
+/// [`score_ends_with_profile`].
+pub type Workspace<const L: usize> = RowWorkspace<i16, L>;
+
+/// 8-bit row state, for [`score_bytes_with_profile`].
+pub type ByteWorkspace<const L: usize> = RowWorkspace<u8, L>;
+
+impl<T: Lane, const L: usize> RowWorkspace<T, L> {
     /// An empty workspace; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+/// Per-subject workspace reset. A trait of its own because it needs the
+/// private [`Precision`] bound, which a public type's inherent impl
+/// may not carry.
+trait Reset {
     /// Sizes the buffers for `segments` and resets per-subject state.
+    fn reset(&mut self, segments: usize);
+}
+
+impl<T: Precision, const L: usize> Reset for RowWorkspace<T, L> {
     fn reset(&mut self, segments: usize) {
-        let neg = Vector::<L>::splat(WORD_PAD);
         self.h_store.clear();
-        self.h_store.resize(segments, Vector::zero());
+        self.h_store.resize(segments, Lanes::zero());
         self.h_load.clear();
-        self.h_load.resize(segments, Vector::zero());
+        self.h_load.resize(segments, Lanes::zero());
         self.e.clear();
-        self.e.resize(segments, neg);
+        self.e.resize(segments, Lanes::splat(T::DEAD));
     }
 }
 
-/// Reusable 8-bit row state, the byte-precision sibling of
-/// [`Workspace`].
-#[derive(Debug, Clone, Default)]
-pub struct ByteWorkspace<const L: usize> {
-    h_store: Vec<ByteVector<L>>,
-    h_load: Vec<ByteVector<L>>,
-    e: Vec<ByteVector<L>>,
+/// The per-precision parts of the striped column loop.
+trait Precision: Lane {
+    /// F and E start here; it can never raise an H.
+    const DEAD: Self;
+
+    /// Segments per striped column for this precision.
+    fn segments(profile: &QueryProfile) -> usize;
+
+    /// The profile row for subject residue `c`.
+    fn row(profile: &QueryProfile, c: AminoAcid) -> &[Self];
+
+    /// The offset every profile score carries in this layout.
+    fn bias(profile: &QueryProfile) -> Self;
+
+    /// A gap penalty as a lane value.
+    fn penalty(p: i32) -> Self;
+
+    /// The diagonal step: `h` plus the profile scores `p`, un-biased
+    /// and floored at the local-alignment zero.
+    fn add_score<const L: usize>(
+        h: Lanes<Self, L>,
+        p: Lanes<Self, L>,
+        bias: Lanes<Self, L>,
+    ) -> Lanes<Self, L>;
 }
 
-impl<const L: usize> ByteWorkspace<L> {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
+impl Precision for i16 {
+    const DEAD: Self = WORD_PAD;
+
+    fn segments(profile: &QueryProfile) -> usize {
+        profile.word_segments()
     }
 
-    fn reset(&mut self, segments: usize) {
-        self.h_store.clear();
-        self.h_store.resize(segments, ByteVector::zero());
-        self.h_load.clear();
-        self.h_load.resize(segments, ByteVector::zero());
-        self.e.clear();
-        self.e.resize(segments, ByteVector::zero());
+    fn row(profile: &QueryProfile, c: AminoAcid) -> &[Self] {
+        profile.word_row(c)
     }
+
+    fn bias(_: &QueryProfile) -> Self {
+        0
+    }
+
+    fn penalty(p: i32) -> Self {
+        p as i16
+    }
+
+    #[inline]
+    fn add_score<const L: usize>(h: Vector<L>, p: Vector<L>, _: Vector<L>) -> Vector<L> {
+        h.adds(p).max(Vector::zero())
+    }
+}
+
+impl Precision for u8 {
+    // Unsigned saturating subtraction floors at 0 — exactly the
+    // local-alignment zero floor, so F/E start dead at 0.
+    const DEAD: Self = 0;
+
+    fn segments(profile: &QueryProfile) -> usize {
+        profile.byte_segments()
+    }
+
+    fn row(profile: &QueryProfile, c: AminoAcid) -> &[Self] {
+        profile
+            .byte_row(c)
+            .expect("byte layout checked by the caller")
+    }
+
+    fn bias(profile: &QueryProfile) -> Self {
+        profile.bias() as u8
+    }
+
+    fn penalty(p: i32) -> Self {
+        p.min(255) as u8
+    }
+
+    #[inline]
+    fn add_score<const L: usize>(
+        h: ByteVector<L>,
+        p: ByteVector<L>,
+        bias: ByteVector<L>,
+    ) -> ByteVector<L> {
+        h.adds(p).subs(bias)
+    }
+}
+
+/// The striped column loop behind every live entry point.
+///
+/// Scores `b` against `profile` column by column and returns the
+/// lane-wise running maximum of every H cell. After each column's
+/// lazy-F correction, `column_done(j, vmax, h)` sees the column index,
+/// the running maximum and the column's final H segments; a `Break`
+/// stops the scan and yields `None`. The caller has checked the lane
+/// count and that both sequences are non-empty.
+#[inline]
+fn scan_columns<T: Precision, const L: usize>(
+    profile: &QueryProfile,
+    b: &[AminoAcid],
+    gaps: GapPenalties,
+    ws: &mut RowWorkspace<T, L>,
+    mut column_done: impl FnMut(usize, Lanes<T, L>, &[Lanes<T, L>]) -> ControlFlow<()>,
+) -> Option<Lanes<T, L>> {
+    let segs = T::segments(profile);
+    let open_ext = Lanes::<T, L>::splat(T::penalty(gaps.open + gaps.extend));
+    let ext = Lanes::<T, L>::splat(T::penalty(gaps.extend));
+    let bias = Lanes::<T, L>::splat(T::bias(profile));
+    let dead = Lanes::<T, L>::splat(T::DEAD);
+
+    ws.reset(segs);
+    let mut vmax = Lanes::<T, L>::zero();
+
+    for (j, &bj) in b.iter().enumerate() {
+        let row = T::row(profile, bj);
+        // F starts dead: within-column chains that cross a lane
+        // boundary are repaired by the lazy-F correction below.
+        let mut vf = dead;
+        // The diagonal input of segment 0 is the previous column's last
+        // segment shifted one lane up; lane 0 gets the H[0][j-1] = 0
+        // local-alignment boundary.
+        let mut vh = ws.h_store[segs - 1].shift_in_first(T::ZERO);
+        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
+
+        for s in 0..segs {
+            // One aligned load replaces the anti-diagonal kernel's
+            // per-cell score gather.
+            let p = Lanes::<T, L>::from_slice(&row[s * L..]);
+            let e = ws.e[s];
+            vh = T::add_score(vh, p, bias).max(e).max(vf);
+            vmax = vmax.max(vh);
+            ws.h_store[s] = vh;
+
+            let h_open = vh.subs(open_ext);
+            ws.e[s] = e.subs(ext).max(h_open);
+            vf = vf.subs(ext).max(h_open);
+
+            vh = ws.h_load[s];
+        }
+
+        // Deconstructed lazy-F (Snytsar): the common no-correction
+        // column is this one predicate — shift, subtract, compare —
+        // with no wrap iteration and no stores. Only when it fires
+        // does the bounded wrap repair below run, visiting each
+        // segment at most once per wrap under Farrar's termination
+        // test (at most L wraps). In bytes it fires far more rarely,
+        // because a positive F has to survive the zero floor. The
+        // repair is spelled out inline: hoisting it into a helper —
+        // even `#[inline(always)]`, even over plain slices —
+        // measurably pessimizes the surrounding loop's
+        // auto-vectorization, and `#[cold]`/`#[inline(never)]`
+        // variants cost ~5x by un-vectorizing the emulated vector
+        // ops. A log2(L)-step max-plus prefix scan folding all wraps
+        // into one pass (Snytsar's formulation) also benched slower:
+        // the folded F stays live across more segments than any
+        // single wrap, and emulated vectors have no branch-cost for
+        // the scan to amortize.
+        let mut vf = vf.shift_in_first(T::DEAD);
+        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
+            'lazy: for _ in 0..L {
+                for s in 0..segs {
+                    let h = ws.h_store[s].max(vf);
+                    ws.h_store[s] = h;
+                    vmax = vmax.max(h);
+                    let h_open = h.subs(open_ext);
+                    // A raised H can also feed next column's E.
+                    ws.e[s] = ws.e[s].max(h_open);
+                    vf = vf.subs(ext);
+                    if !vf.any_gt(h_open) {
+                        break 'lazy;
+                    }
+                }
+                vf = vf.shift_in_first(T::DEAD);
+            }
+        }
+
+        if column_done(j, vmax, &ws.h_store).is_break() {
+            return None;
+        }
+    }
+
+    Some(vmax)
 }
 
 /// Striped Smith-Waterman in 16-bit lanes against a prebuilt profile.
@@ -145,78 +325,8 @@ pub fn score_with_profile<const L: usize>(
     if profile.query_len() == 0 || b.is_empty() {
         return 0;
     }
-    let segs = profile.word_segments();
-    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
-    let ext = Vector::<L>::splat(gaps.extend as i16);
-    let zero = Vector::<L>::zero();
-    let neg = Vector::<L>::splat(WORD_PAD);
-
-    ws.reset(segs);
-    let mut vmax = zero;
-
-    for &bj in b {
-        let row = profile.word_row(bj);
-        // F starts dead: within-column chains that cross a lane
-        // boundary are repaired by the lazy-F loop below.
-        let mut vf = neg;
-        // The diagonal input of segment 0 is the previous column's last
-        // segment shifted one lane up; lane 0 gets the H[0][j-1] = 0
-        // local-alignment boundary.
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-
-        for s in 0..segs {
-            // One aligned load replaces the anti-diagonal kernel's
-            // per-cell score gather.
-            let p = Vector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf).max(zero);
-            vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
-        }
-
-        // Deconstructed lazy-F (Snytsar): the common no-correction
-        // column is this one predicate — shift, subtract, compare —
-        // with no wrap iteration and no stores. Only when it fires
-        // does the bounded wrap repair below run, visiting each
-        // segment at most once per wrap under Farrar's termination
-        // test (at most L wraps). The repair is spelled out inline:
-        // hoisting it into a helper — even `#[inline(always)]`, even
-        // over plain slices — measurably pessimizes the surrounding
-        // loop's auto-vectorization, and `#[cold]`/`#[inline(never)]`
-        // variants cost ~5x by un-vectorizing the emulated vector
-        // ops. A log2(L)-step max-plus prefix scan folding all wraps
-        // into one pass (Snytsar's formulation) also benched slower:
-        // the folded F stays live across more segments than any
-        // single wrap, and emulated vectors have no branch-cost for
-        // the scan to amortize.
-        let mut vf = vf.shift_in_first(WORD_PAD);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    vmax = vmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    // A raised H can also feed next column's E.
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(WORD_PAD);
-            }
-        }
-    }
-
+    let vmax = scan_columns(profile, b, gaps, ws, |_, _, _| ControlFlow::Continue(()))
+        .expect("the word scan never stops early");
     i32::from(vmax.horizontal_max()).max(0)
 }
 
@@ -330,71 +440,14 @@ pub fn score_bytes_with_profile<const L: usize>(
     if guard <= 0 {
         return None;
     }
-    let segs = profile.byte_segments();
-    let bias_v = ByteVector::<L>::splat(profile.bias() as u8);
-    let open_ext = ByteVector::<L>::splat((gaps.open + gaps.extend).min(255) as u8);
-    let ext = ByteVector::<L>::splat(gaps.extend.min(255) as u8);
-
-    ws.reset(segs);
-    let mut best = 0u8;
-
-    for &bj in b {
-        let row = profile.byte_row(bj).expect("byte layout checked above");
-        // Unsigned saturating subtraction floors at 0 — exactly the
-        // local-alignment zero floor, so F/E start dead at 0.
-        let mut vf = ByteVector::<L>::zero();
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-        let mut colmax = ByteVector::<L>::zero();
-
-        for s in 0..segs {
-            let p = ByteVector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p).subs(bias_v);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf);
-            colmax = colmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
+    let vmax = scan_columns(profile, b, gaps, ws, |_, vmax, _| {
+        if i32::from(vmax.horizontal_max()) >= guard {
+            ControlFlow::Break(()) // next column could clip — rescore in 16-bit
+        } else {
+            ControlFlow::Continue(())
         }
-
-        // Deconstructed lazy-F, byte flavour: dead is 0 (the unsigned
-        // floor), so the same one-predicate fast path applies — and
-        // fires far more rarely than in 16-bit, because a positive F
-        // has to survive the zero floor. Spelled out inline for the
-        // same codegen reasons as the word kernel.
-        let mut vf = vf.shift_in_first(0);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    colmax = colmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(0);
-            }
-        }
-
-        let cm = colmax.horizontal_max();
-        if cm > best {
-            best = cm;
-        }
-        if i32::from(best) >= guard {
-            return None; // next column could clip — rescore in 16-bit
-        }
-    }
-
-    Some(i32::from(best))
+    })?;
+    Some(i32::from(vmax.horizontal_max()))
 }
 
 /// Pre-deconstruction byte kernel — the bit-identity oracle for
@@ -526,8 +579,9 @@ pub struct ScoreEnds {
 /// see [`crate::traceback::align_hit`].
 ///
 /// Scores are identical to [`score_with_profile`]; the extra cost is a
-/// per-column max-fold over the segments, which is why the engines use
-/// the plain kernel for scanning and this one only for reported hits.
+/// per-column compare of the running maximum plus a search of the rare
+/// column that improves it, which is why the engines use the plain
+/// kernel for scanning and this one only for reported hits.
 ///
 /// # Panics
 ///
@@ -554,72 +608,23 @@ pub fn score_ends_with_profile<const L: usize>(
     }
     let m = profile.query_len();
     let segs = profile.word_segments();
-    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
-    let ext = Vector::<L>::splat(gaps.extend as i16);
-    let zero = Vector::<L>::zero();
-    let neg = Vector::<L>::splat(WORD_PAD);
+    let mut best_v = Vector::<L>::zero();
 
-    ws.reset(segs);
-    let mut vmax = zero;
-    let mut best_v = zero;
-
-    for (j, &bj) in b.iter().enumerate() {
-        let row = profile.word_row(bj);
-        let mut vf = neg;
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-
-        for s in 0..segs {
-            let p = Vector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf).max(zero);
-            vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
-        }
-
-        // Same deconstructed correction as `score_with_profile`; see
-        // the comment there for why it is spelled out inline.
-        let mut vf = vf.shift_in_first(WORD_PAD);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    vmax = vmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(WORD_PAD);
-            }
-        }
-
-        // Endpoint tracking: a strict improvement pins this column;
-        // the lane-outer / segment-inner sweep visits cells in
-        // increasing query order, so the first match is the minimal
-        // query index. Padding cells can never attain a new best —
-        // their H descends (gap-penalised) from a real cell already
-        // folded into the running best.
-        let mut colv = ws.h_store[0];
-        for s in 1..segs {
-            colv = colv.max(ws.h_store[s]);
-        }
-        if colv.any_gt(best_v) {
-            let col_best = colv.horizontal_max();
+    let vmax = scan_columns(profile, b, gaps, ws, |j, vmax, h| {
+        // Endpoint tracking: every lane of the running maximum stayed
+        // at or below `best_v` until this column, so it beats `best_v`
+        // exactly when this column holds a new best. The lane-outer /
+        // segment-inner sweep visits cells in increasing query order,
+        // so the first match is the minimal query index. Padding cells
+        // can never attain a new best — their H descends
+        // (gap-penalised) from a real cell already folded into the
+        // running best.
+        if vmax.any_gt(best_v) {
+            let col_best = vmax.horizontal_max();
             best_v = Vector::<L>::splat(col_best);
             'find: for k in 0..L {
-                for s in 0..segs {
-                    if ws.h_store[s].extract(k) == col_best {
+                for (s, hs) in h.iter().enumerate() {
+                    if hs.extract(k) == col_best {
                         let q = k * segs + s;
                         if q < m {
                             ends.query_end = q;
@@ -630,7 +635,9 @@ pub fn score_ends_with_profile<const L: usize>(
                 }
             }
         }
-    }
+        ControlFlow::Continue(())
+    })
+    .expect("the end pass never stops early");
 
     ends.score = i32::from(vmax.horizontal_max()).max(0);
     ends

@@ -69,33 +69,6 @@ fn simd_sw_matches_scalar() {
     }
 }
 
-#[test]
-fn byte_precision_simd_matches_scalar() {
-    let m = SubstitutionMatrix::blosum62();
-    let mut rng = Xoshiro256::new(0xB17E);
-    for case in 0..CASES {
-        let a = protein(&mut rng, 40);
-        let b = protein(&mut rng, 40);
-        let g = gap_penalties(&mut rng);
-        let expect = sw::score(&a, &b, &m, g);
-        // The byte pass either agrees exactly or reports overflow.
-        if let Some(s) = simd_sw::score_bytes::<16>(&a, &b, &m, g) {
-            assert_eq!(s, expect, "case {case}");
-        }
-        // The adaptive wrapper always agrees.
-        assert_eq!(
-            simd_sw::score_adaptive::<16, 8>(&a, &b, &m, g),
-            expect,
-            "case {case}"
-        );
-        assert_eq!(
-            simd_sw::score_adaptive::<32, 16>(&a, &b, &m, g),
-            expect,
-            "case {case}"
-        );
-    }
-}
-
 /// The tentpole invariant: the Farrar striped kernel is score-identical
 /// to the scalar Gotoh oracle at both lane widths and both precisions,
 /// across random, gap-heavy, and all-identical inputs.

@@ -39,10 +39,6 @@ impl SweepJob {
         SweepJob { trace, config }
     }
 
-    fn run_with(&self, buf: &mut DecodeBuf) -> SimReport {
-        Simulator::new(self.config.clone()).run_packed_with(&self.trace, buf)
-    }
-
     /// Panic-isolated, validated run: the trace is checked
     /// ([`Simulator::try_run_packed`]) and any panic from an invalid
     /// configuration or a simulator bug is caught and converted into a
@@ -97,69 +93,37 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs every job and returns the reports in job order.
+/// Runs every job and returns the reports in job order: the
+/// [`run_jobs_isolated`] loop, for callers that treat any failed job as
+/// fatal.
+///
+/// # Panics
+///
+/// Panics with the index and cause of the first failed job (invalid
+/// configuration, corrupted trace, simulator watchdog), after every
+/// job has run.
+pub fn run_jobs(jobs: &[SweepJob], threads: usize) -> Vec<SimReport> {
+    run_jobs_isolated(jobs, threads)
+        .into_iter()
+        .enumerate()
+        .map(|(i, outcome)| {
+            outcome.unwrap_or_else(|failure| panic!("sweep job {i} failed: {failure}"))
+        })
+        .collect()
+}
+
+/// Runs every job with per-job fault isolation: every job yields either
+/// a report or a [`JobFailure`], in job order, and one corrupted trace
+/// or panicking simulation never takes down the rest of the grid.
 ///
 /// With `threads <= 1` (or fewer than two jobs) the jobs run serially
 /// on the calling thread. Otherwise `threads` scoped workers claim job
 /// indices from a shared cursor; since each job is a pure function of
 /// its trace and configuration, the merged result is identical to the
-/// serial run — determinism is a property of the engine, not of
-/// scheduling luck. Jobs are claimed one at a time because a single
-/// simulation is orders of magnitude coarser than the claim overhead.
-///
-/// # Panics
-///
-/// Propagates a panic from any job (invalid configuration, simulator
-/// watchdog).
-pub fn run_jobs(jobs: &[SweepJob], threads: usize) -> Vec<SimReport> {
-    let threads = threads.max(1).min(jobs.len());
-    if threads <= 1 {
-        let mut buf = DecodeBuf::new();
-        return jobs.iter().map(|j| j.run_with(&mut buf)).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let mut partials: Vec<Vec<(usize, SimReport)>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || {
-                // One decode buffer per worker, reused across every job
-                // it claims from the shared Arc<PackedTrace> inputs.
-                let mut buf = DecodeBuf::new();
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    local.push((i, jobs[i].run_with(&mut buf)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            partials.push(h.join().expect("sweep worker panicked"));
-        }
-    });
-
-    let mut reports: Vec<Option<SimReport>> = vec![None; jobs.len()];
-    for part in partials {
-        for (i, r) in part {
-            reports[i] = Some(r);
-        }
-    }
-    reports
-        .into_iter()
-        .map(|r| r.expect("every job index claimed exactly once"))
-        .collect()
-}
-
-/// [`run_jobs`] with per-job fault isolation: every job yields either a
-/// report or a [`JobFailure`], in job order, and one corrupted trace or
-/// panicking simulation never takes down the rest of the grid. Results
-/// are identical for any thread count, failures included.
+/// serial run, failures included — determinism is a property of the
+/// engine, not of scheduling luck. Jobs are claimed one at a time
+/// because a single simulation is orders of magnitude coarser than the
+/// claim overhead.
 pub fn run_jobs_isolated(jobs: &[SweepJob], threads: usize) -> Vec<Result<SimReport, JobFailure>> {
     let threads = threads.max(1).min(jobs.len());
     if threads <= 1 {
@@ -175,6 +139,8 @@ pub fn run_jobs_isolated(jobs: &[SweepJob], threads: usize) -> Vec<Result<SimRep
         for _ in 0..threads {
             let cursor = &cursor;
             handles.push(scope.spawn(move || {
+                // One decode buffer per worker, reused across every job
+                // it claims from the shared Arc<PackedTrace> inputs.
                 let mut buf = DecodeBuf::new();
                 let mut local = Vec::new();
                 loop {
@@ -290,6 +256,17 @@ mod tests {
         for (p, i) in plain.iter().zip(&isolated) {
             assert_eq!(Ok(p), i.as_ref());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep job 2 failed: trace error")]
+    fn run_jobs_names_the_first_failed_job() {
+        let trace = test_trace();
+        let bad = Arc::new(trace.with_corrupted_byte(37, 0xA5));
+        let mut jobs = grid(&trace);
+        jobs.insert(2, SweepJob::new(Arc::clone(&bad), SimConfig::four_way()));
+        jobs.insert(4, SweepJob::new(bad, SimConfig::four_way()));
+        let _ = run_jobs(&jobs, 2);
     }
 
     #[test]

@@ -3,35 +3,149 @@
 //! The paper's `SW_vmx128` workload uses the real Altivec extension
 //! (128-bit registers, eight 16-bit lanes for Smith-Waterman scores);
 //! `SW_vmx256` uses a "futuristic" 256-bit extension the authors added
-//! to GCC and Turandot. This crate emulates both: a const-generic
-//! [`Vector`] of `i16` lanes with the saturating-arithmetic, max/min,
-//! compare, and element-rotation operations the vectorized
-//! Smith-Waterman kernels need.
+//! to GCC and Turandot. This crate emulates both with one register
+//! type: [`Lanes<T, L>`], `L` lanes of a [`Lane`] scalar, with the
+//! saturating-arithmetic, max, compare and element-rotation operations
+//! the vectorized Smith-Waterman kernels need. The lane scalar is
+//! either `i16` ([`Vector`], the word precision every kernel can use)
+//! or `u8` ([`ByteVector`], the biased byte precision of the striped
+//! kernel's fast first pass — twice the lanes per register).
 //!
-//! The emulation computes real values — the SIMD Smith-Waterman built on
-//! it is checked lane-for-lane against the scalar algorithm — while the
-//! instrumented workloads separately emit the corresponding `vsimple`/
-//! `vperm` trace instructions.
+//! The emulation computes real values — the SIMD Smith-Waterman kernels
+//! built on it are checked lane-for-lane against the scalar algorithm —
+//! while the instrumented workloads separately emit the corresponding
+//! `vsimple`/`vperm` trace instructions.
 //!
 //! ```
-//! use sapa_vsimd::V128;
+//! use sapa_vsimd::{B128, V128};
 //!
 //! let a = V128::splat(1000);
 //! let b = V128::splat(32000);
 //! let c = a.adds(b);                // saturates at i16::MAX
 //! assert_eq!(c.extract(0), i16::MAX);
+//! // Unsigned byte lanes floor at zero instead.
+//! assert_eq!(B128::splat(3).subs(B128::splat(10)).extract(0), 0);
 //! ```
 
-/// A vector of `L` signed 16-bit lanes.
-///
-/// `L = 8` models an Altivec 128-bit register ([`V128`]); `L = 16`
-/// models the paper's 256-bit extension ([`V256`]). Lane 0 is the
-/// "leftmost" element, matching the shift direction of
-/// [`Vector::shift_in_first`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Vector<const L: usize> {
-    lanes: [i16; L],
+use std::fmt::{Debug, Display};
+use std::hash::Hash;
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for i16 {}
+    impl Sealed for u8 {}
 }
+
+/// A lane scalar of [`Lanes`]: `i16` (Altivec `…sh` ops) or `u8`
+/// (Altivec `…ub` ops). Sealed — the kernels' overflow reasoning holds
+/// for exactly these two.
+///
+/// The hidden associated functions are the lane-wise bodies behind the
+/// same-named [`Lanes`] methods; call the methods instead.
+pub trait Lane: sealed::Sealed + Copy + Ord + Default + Debug + Display + Hash {
+    /// The zero score.
+    const ZERO: Self;
+    #[doc(hidden)]
+    fn from_slice<const L: usize>(slice: &[Self]) -> Lanes<Self, L>;
+    #[doc(hidden)]
+    fn adds<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L>;
+    #[doc(hidden)]
+    fn subs<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L>;
+    #[doc(hidden)]
+    fn max<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L>;
+    #[doc(hidden)]
+    fn any_gt<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> bool;
+    #[doc(hidden)]
+    fn shift_in_first<const L: usize>(a: Lanes<Self, L>, first: Self) -> Lanes<Self, L>;
+    #[doc(hidden)]
+    fn horizontal_max<const L: usize>(a: Lanes<Self, L>) -> Self;
+}
+
+// The lane-wise bodies are stamped out once per scalar instead of being
+// written generically over `T: Lane`. A body generic over the scalar
+// reaches LLVM with its comparisons and saturating ops still behind
+// trait calls, and the striped kernels built on such bodies came out
+// partly scalarized: 2-7x slower than on these concrete ones.
+macro_rules! lane {
+    ($t:ty) => {
+        impl Lane for $t {
+            const ZERO: Self = 0;
+
+            #[inline]
+            fn from_slice<const L: usize>(slice: &[Self]) -> Lanes<Self, L> {
+                let mut lanes = [0; L];
+                lanes.copy_from_slice(&slice[..L]);
+                Lanes { lanes }
+            }
+
+            #[inline]
+            fn adds<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L> {
+                a.zip(b, <$t>::saturating_add)
+            }
+
+            #[inline]
+            fn subs<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L> {
+                a.zip(b, <$t>::saturating_sub)
+            }
+
+            #[inline]
+            fn max<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> Lanes<Self, L> {
+                a.zip(b, std::cmp::max)
+            }
+
+            #[inline]
+            fn any_gt<const L: usize>(a: Lanes<Self, L>, b: Lanes<Self, L>) -> bool {
+                a.lanes.iter().zip(b.lanes.iter()).any(|(x, y)| x > y)
+            }
+
+            #[inline]
+            fn shift_in_first<const L: usize>(a: Lanes<Self, L>, first: Self) -> Lanes<Self, L> {
+                let mut lanes = [0; L];
+                lanes[0] = first;
+                lanes[1..L].copy_from_slice(&a.lanes[..L - 1]);
+                Lanes { lanes }
+            }
+
+            #[inline]
+            fn horizontal_max<const L: usize>(a: Lanes<Self, L>) -> Self {
+                let mut m = <$t>::MIN;
+                let mut i = 0;
+                while i < L {
+                    if a.lanes[i] > m {
+                        m = a.lanes[i];
+                    }
+                    i += 1;
+                }
+                m
+            }
+        }
+    };
+}
+
+lane!(i16);
+lane!(u8);
+
+/// A register of `L` lanes of scalar `T`.
+///
+/// `Lanes<i16, 8>` models an Altivec 128-bit register ([`V128`]) and
+/// `Lanes<i16, 16>` the paper's 256-bit extension ([`V256`]); the byte
+/// forms hold twice the lanes ([`B128`], [`B256`]). Lane 0 is the
+/// "leftmost" element, matching the shift direction of
+/// [`Lanes::shift_in_first`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Lanes<T: Lane, const L: usize> {
+    lanes: [T; L],
+}
+
+/// A vector of `L` signed 16-bit lanes.
+pub type Vector<const L: usize> = Lanes<i16, L>;
+
+/// A vector of `L` unsigned 8-bit lanes — the byte-precision layout
+/// real SIMD Smith-Waterman implementations use for their fast first
+/// pass. Local-alignment scores are non-negative, so unsigned
+/// saturating arithmetic gives the zero floor for free; the caller
+/// detects overflow and re-runs in 16-bit precision.
+pub type ByteVector<const L: usize> = Lanes<u8, L>;
 
 /// 128-bit Altivec vector: eight 16-bit lanes.
 pub type V128 = Vector<8>;
@@ -39,29 +153,32 @@ pub type V128 = Vector<8>;
 /// Futuristic 256-bit vector: sixteen 16-bit lanes.
 pub type V256 = Vector<16>;
 
-impl<const L: usize> Vector<L> {
+/// 128-bit byte vector: sixteen u8 lanes.
+pub type B128 = ByteVector<16>;
+
+/// 256-bit byte vector: thirty-two u8 lanes.
+pub type B256 = ByteVector<32>;
+
+impl<T: Lane, const L: usize> Lanes<T, L> {
     /// Number of lanes.
     pub const LANES: usize = L;
 
-    /// Register width in bytes.
-    pub const WIDTH_BYTES: u32 = (L * 2) as u32;
-
-    /// A vector with every lane equal to `value` (Altivec `vspltish`).
+    /// A vector with every lane equal to `value` (Altivec `vsplth`/`vspltb`).
     #[inline]
-    pub const fn splat(value: i16) -> Self {
-        Vector { lanes: [value; L] }
+    pub const fn splat(value: T) -> Self {
+        Lanes { lanes: [value; L] }
     }
 
     /// The all-zero vector.
     #[inline]
     pub const fn zero() -> Self {
-        Self::splat(0)
+        Self::splat(T::ZERO)
     }
 
     /// Builds a vector from exactly `L` lane values.
     #[inline]
-    pub const fn from_array(lanes: [i16; L]) -> Self {
-        Vector { lanes }
+    pub const fn from_array(lanes: [T; L]) -> Self {
+        Lanes { lanes }
     }
 
     /// Loads `L` lanes from the front of `slice` (Altivec `lvx`).
@@ -70,15 +187,13 @@ impl<const L: usize> Vector<L> {
     ///
     /// Panics if `slice.len() < L`.
     #[inline]
-    pub fn from_slice(slice: &[i16]) -> Self {
-        let mut lanes = [0i16; L];
-        lanes.copy_from_slice(&slice[..L]);
-        Vector { lanes }
+    pub fn from_slice(slice: &[T]) -> Self {
+        T::from_slice(slice)
     }
 
     /// The lane values.
     #[inline]
-    pub const fn to_array(self) -> [i16; L] {
+    pub const fn to_array(self) -> [T; L] {
         self.lanes
     }
 
@@ -88,7 +203,7 @@ impl<const L: usize> Vector<L> {
     ///
     /// Panics if `i >= L`.
     #[inline]
-    pub const fn extract(self, i: usize) -> i16 {
+    pub const fn extract(self, i: usize) -> T {
         self.lanes[i]
     }
 
@@ -98,128 +213,71 @@ impl<const L: usize> Vector<L> {
     ///
     /// Panics if `i >= L`.
     #[inline]
-    pub fn insert(mut self, i: usize, value: i16) -> Self {
+    pub fn insert(mut self, i: usize, value: T) -> Self {
         self.lanes[i] = value;
         self
     }
 
-    /// Lane-wise saturating addition (Altivec `vaddshs`).
+    /// Lane-wise saturating addition (Altivec `vaddshs`/`vaddubs`).
     #[inline]
     pub fn adds(self, rhs: Self) -> Self {
-        self.zip(rhs, i16::saturating_add)
+        T::adds(self, rhs)
     }
 
-    /// Lane-wise saturating subtraction (Altivec `vsubshs`).
+    /// Lane-wise saturating subtraction (Altivec `vsubshs`/`vsububs`).
     #[inline]
     pub fn subs(self, rhs: Self) -> Self {
-        self.zip(rhs, i16::saturating_sub)
+        T::subs(self, rhs)
     }
 
-    /// Lane-wise maximum (Altivec `vmaxsh`).
+    /// Lane-wise maximum (Altivec `vmaxsh`/`vmaxub`).
     #[inline]
     pub fn max(self, rhs: Self) -> Self {
-        self.zip(rhs, std::cmp::max)
-    }
-
-    /// Lane-wise minimum (Altivec `vminsh`).
-    #[inline]
-    pub fn min(self, rhs: Self) -> Self {
-        self.zip(rhs, std::cmp::min)
-    }
-
-    /// Lane-wise `self > rhs` mask: all-ones (-1) where true, 0 where
-    /// false (Altivec `vcmpgtsh`).
-    #[inline]
-    pub fn cmpgt(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| if a > b { -1 } else { 0 })
+        <T as Lane>::max(self, rhs)
     }
 
     /// Whether any lane of `self` exceeds the corresponding lane of
-    /// `rhs` (Altivec `vcmpgtsh.` with the CR6 "any" predicate).
+    /// `rhs` (Altivec `vcmpgtsh.`/`vcmpgtub.` with the CR6 "any"
+    /// predicate) — the striped kernel's lazy-F exit test.
     #[inline]
     pub fn any_gt(self, rhs: Self) -> bool {
-        self.lanes.iter().zip(rhs.lanes.iter()).any(|(a, b)| a > b)
-    }
-
-    /// Lane-wise select: where `mask` lane is non-zero take `self`'s
-    /// lane, otherwise `other`'s (Altivec `vsel`).
-    #[inline]
-    pub fn select(self, other: Self, mask: Self) -> Self {
-        let mut lanes = [0i16; L];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = if mask.lanes[i] != 0 {
-                self.lanes[i]
-            } else {
-                other.lanes[i]
-            };
-        }
-        Vector { lanes }
+        T::any_gt(self, rhs)
     }
 
     /// Shifts every lane one position toward higher indices and inserts
     /// `first` into lane 0 — the `vsldoi`+`vperm` idiom the
     /// anti-diagonal Smith-Waterman uses to feed one strip's boundary
-    /// into the next diagonal step.
+    /// into the next diagonal step, and the striped kernel's carry of F
+    /// and H across segment boundaries.
     #[inline]
-    pub fn shift_in_first(self, first: i16) -> Self {
-        let mut lanes = [0i16; L];
-        lanes[0] = first;
-        lanes[1..L].copy_from_slice(&self.lanes[..L - 1]);
-        Vector { lanes }
-    }
-
-    /// The last lane — the value that exits the register when
-    /// [`Vector::shift_in_first`] is applied.
-    #[inline]
-    pub const fn last(self) -> i16 {
-        self.lanes[L - 1]
-    }
-
-    /// Shifts every lane `n` positions toward higher indices, filling
-    /// the vacated low lanes with `fill` — the generalized `vsldoi`
-    /// used by the Kogge-Stone max-plus scan in the deconstructed
-    /// lazy-F correction (`n` doubles each scan step).
-    #[inline]
-    pub fn shift_lanes(self, n: usize, fill: i16) -> Self {
-        let mut lanes = [fill; L];
-        if n < L {
-            lanes[n..].copy_from_slice(&self.lanes[..L - n]);
-        }
-        Vector { lanes }
+    pub fn shift_in_first(self, first: T) -> Self {
+        T::shift_in_first(self, first)
     }
 
     /// Maximum lane value (Altivec max-across idiom: log2(L) `vperm` +
-    /// `vmaxsh` pairs).
+    /// `vmax` pairs).
     #[inline]
-    pub fn horizontal_max(self) -> i16 {
-        let mut m = i16::MIN;
-        let mut i = 0;
-        while i < L {
-            if self.lanes[i] > m {
-                m = self.lanes[i];
-            }
-            i += 1;
-        }
-        m
+    pub fn horizontal_max(self) -> T {
+        T::horizontal_max(self)
     }
 
     #[inline]
-    fn zip(self, rhs: Self, f: impl Fn(i16, i16) -> i16) -> Self {
-        let mut lanes = [0i16; L];
+    fn zip(self, rhs: Self, f: impl Fn(T, T) -> T) -> Self {
+        let mut lanes = [T::ZERO; L];
         for (i, lane) in lanes.iter_mut().enumerate() {
             *lane = f(self.lanes[i], rhs.lanes[i]);
         }
-        Vector { lanes }
+        Lanes { lanes }
     }
 }
 
-impl<const L: usize> Default for Vector<L> {
+impl<T: Lane, const L: usize> Default for Lanes<T, L> {
     fn default() -> Self {
         Self::zero()
     }
 }
 
-impl<const L: usize> std::fmt::Display for Vector<L> {
+impl<T: Lane, const L: usize> std::fmt::Display for Lanes<T, L> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "<")?;
         for (i, v) in self.lanes.iter().enumerate() {
@@ -243,8 +301,6 @@ mod tests {
             assert_eq!(v.extract(i), 7);
         }
         assert_eq!(V256::LANES, 16);
-        assert_eq!(V128::WIDTH_BYTES, 16);
-        assert_eq!(V256::WIDTH_BYTES, 32);
     }
 
     #[test]
@@ -257,15 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn max_min_select() {
+    fn lane_wise_max() {
         let a = V128::from_array([1, 2, 3, 4, 5, 6, 7, 8]);
         let b = V128::splat(4);
         assert_eq!(a.max(b).to_array(), [4, 4, 4, 4, 5, 6, 7, 8]);
-        assert_eq!(a.min(b).to_array(), [1, 2, 3, 4, 4, 4, 4, 4]);
-        let mask = a.cmpgt(b);
-        assert_eq!(mask.to_array(), [0, 0, 0, 0, -1, -1, -1, -1]);
-        let sel = a.select(b, mask);
-        assert_eq!(sel.to_array(), [4, 4, 4, 4, 5, 6, 7, 8]);
+        let c = V128::from_array([-9, 9, -9, 9, -9, 9, -9, 9]);
+        assert_eq!(a.max(c).to_array(), [1, 9, 3, 9, 5, 9, 7, 9]);
     }
 
     #[test]
@@ -278,21 +331,8 @@ mod tests {
     #[test]
     fn shift_in_first_rotates() {
         let a = V128::from_array([1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(a.last(), 8);
         let b = a.shift_in_first(99);
         assert_eq!(b.to_array(), [99, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn shift_lanes_multi() {
-        let a = V128::from_array([1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(a.shift_lanes(0, -9).to_array(), [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(a.shift_lanes(1, -9).to_array(), [-9, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(a.shift_lanes(3, 0).to_array(), [0, 0, 0, 1, 2, 3, 4, 5]);
-        assert_eq!(a.shift_lanes(8, -9), V128::splat(-9));
-        assert_eq!(a.shift_lanes(20, -9), V128::splat(-9));
-        // shift by 1 matches shift_in_first
-        assert_eq!(a.shift_lanes(1, 42), a.shift_in_first(42));
     }
 
     #[test]
@@ -329,192 +369,6 @@ mod tests {
     }
 }
 
-/// A vector of `L` unsigned 8-bit lanes — the byte-precision register
-/// layout real SIMD Smith-Waterman implementations use for their fast
-/// first pass (16 lanes per 128-bit Altivec register instead of 8).
-///
-/// Local-alignment scores are naturally non-negative, so unsigned
-/// saturating arithmetic gives the zero floor for free; overflow is
-/// detected by lanes reaching [`u8::MAX`] and handled by the caller
-/// re-running in 16-bit precision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ByteVector<const L: usize> {
-    lanes: [u8; L],
-}
-
-/// 128-bit byte vector: sixteen u8 lanes.
-pub type B128 = ByteVector<16>;
-
-/// 256-bit byte vector: thirty-two u8 lanes.
-pub type B256 = ByteVector<32>;
-
-impl<const L: usize> ByteVector<L> {
-    /// Number of lanes.
-    pub const LANES: usize = L;
-
-    /// A vector with every lane equal to `value` (Altivec `vspltb`).
-    #[inline]
-    pub const fn splat(value: u8) -> Self {
-        ByteVector { lanes: [value; L] }
-    }
-
-    /// The all-zero vector.
-    #[inline]
-    pub const fn zero() -> Self {
-        Self::splat(0)
-    }
-
-    /// Builds a vector from exactly `L` lane values.
-    #[inline]
-    pub const fn from_array(lanes: [u8; L]) -> Self {
-        ByteVector { lanes }
-    }
-
-    /// Loads `L` lanes from the front of `slice` (Altivec `lvx`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice.len() < L`.
-    #[inline]
-    pub fn from_slice(slice: &[u8]) -> Self {
-        let mut lanes = [0u8; L];
-        lanes.copy_from_slice(&slice[..L]);
-        ByteVector { lanes }
-    }
-
-    /// The lane values.
-    #[inline]
-    pub const fn to_array(self) -> [u8; L] {
-        self.lanes
-    }
-
-    /// Value of lane `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= L`.
-    #[inline]
-    pub const fn extract(self, i: usize) -> u8 {
-        self.lanes[i]
-    }
-
-    /// Returns a copy with lane `i` replaced by `value`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= L`.
-    #[inline]
-    pub fn insert(mut self, i: usize, value: u8) -> Self {
-        self.lanes[i] = value;
-        self
-    }
-
-    /// Lane-wise saturating addition (Altivec `vaddubs`).
-    #[inline]
-    pub fn adds(self, rhs: Self) -> Self {
-        self.zip(rhs, u8::saturating_add)
-    }
-
-    /// Lane-wise saturating subtraction — clamps at 0, which is
-    /// exactly the local-alignment floor (Altivec `vsububs`).
-    #[inline]
-    pub fn subs(self, rhs: Self) -> Self {
-        self.zip(rhs, u8::saturating_sub)
-    }
-
-    /// Lane-wise maximum (Altivec `vmaxub`).
-    #[inline]
-    pub fn max(self, rhs: Self) -> Self {
-        self.zip(rhs, std::cmp::max)
-    }
-
-    /// Whether any lane of `self` exceeds the corresponding lane of
-    /// `rhs` (Altivec `vcmpgtub.` with the CR6 "any" predicate) — the
-    /// striped kernel's lazy-F loop exit test.
-    #[inline]
-    pub fn any_gt(self, rhs: Self) -> bool {
-        self.lanes.iter().zip(rhs.lanes.iter()).any(|(a, b)| a > b)
-    }
-
-    /// Whether any lane equals [`u8::MAX`] — the overflow signal that
-    /// forces a 16-bit re-run.
-    #[inline]
-    pub fn saturated(self) -> bool {
-        let mut i = 0;
-        while i < L {
-            if self.lanes[i] == u8::MAX {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// Shifts every lane one position toward higher indices and
-    /// inserts `first` into lane 0.
-    #[inline]
-    pub fn shift_in_first(self, first: u8) -> Self {
-        let mut lanes = [0u8; L];
-        lanes[0] = first;
-        lanes[1..L].copy_from_slice(&self.lanes[..L - 1]);
-        ByteVector { lanes }
-    }
-
-    /// Shifts every lane `n` positions toward higher indices, filling
-    /// the vacated low lanes with `fill` — the byte-precision sibling
-    /// of [`Vector::shift_lanes`].
-    #[inline]
-    pub fn shift_lanes(self, n: usize, fill: u8) -> Self {
-        let mut lanes = [fill; L];
-        if n < L {
-            lanes[n..].copy_from_slice(&self.lanes[..L - n]);
-        }
-        ByteVector { lanes }
-    }
-
-    /// Maximum lane value.
-    #[inline]
-    pub fn horizontal_max(self) -> u8 {
-        let mut m = 0u8;
-        let mut i = 0;
-        while i < L {
-            if self.lanes[i] > m {
-                m = self.lanes[i];
-            }
-            i += 1;
-        }
-        m
-    }
-
-    #[inline]
-    fn zip(self, rhs: Self, f: impl Fn(u8, u8) -> u8) -> Self {
-        let mut lanes = [0u8; L];
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane = f(self.lanes[i], rhs.lanes[i]);
-        }
-        ByteVector { lanes }
-    }
-}
-
-impl<const L: usize> Default for ByteVector<L> {
-    fn default() -> Self {
-        Self::zero()
-    }
-}
-
-impl<const L: usize> std::fmt::Display for ByteVector<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "<")?;
-        for (i, v) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{v}")?;
-        }
-        write!(f, ">")
-    }
-}
-
 #[cfg(test)]
 mod byte_tests {
     use super::*;
@@ -522,9 +376,9 @@ mod byte_tests {
     #[test]
     fn saturating_byte_math() {
         let a = B128::splat(250);
-        assert_eq!(a.adds(B128::splat(10)).extract(0), 255);
-        assert!(a.adds(B128::splat(10)).saturated());
-        assert!(!a.saturated());
+        assert_eq!(a.adds(B128::splat(10)).extract(0), u8::MAX);
+        assert_eq!(a.adds(B128::splat(5)).extract(9), u8::MAX);
+        assert_eq!(a.adds(B128::splat(4)).extract(9), 254);
         assert_eq!(B128::splat(3).subs(B128::splat(10)).extract(5), 0);
     }
 
@@ -536,6 +390,7 @@ mod byte_tests {
         }
         let v = B128::from_array(arr);
         assert_eq!(v.horizontal_max(), 15);
+        assert_eq!(B128::zero().horizontal_max(), 0);
         let s = v.shift_in_first(99);
         assert_eq!(s.extract(0), 99);
         assert_eq!(s.extract(1), 0);
@@ -550,23 +405,6 @@ mod byte_tests {
         assert_eq!(v.extract(15), 25);
         assert!(v.any_gt(B128::splat(24)));
         assert!(!v.any_gt(B128::splat(25)));
-    }
-
-    #[test]
-    fn byte_shift_lanes_multi() {
-        let mut arr = [0u8; 16];
-        for (i, v) in arr.iter_mut().enumerate() {
-            *v = (i + 1) as u8;
-        }
-        let v = B128::from_array(arr);
-        assert_eq!(v.shift_lanes(0, 9), v);
-        assert_eq!(v.shift_lanes(1, 9), v.shift_in_first(9));
-        let s4 = v.shift_lanes(4, 0);
-        assert_eq!(s4.extract(3), 0);
-        assert_eq!(s4.extract(4), 1);
-        assert_eq!(s4.extract(15), 12);
-        assert_eq!(v.shift_lanes(16, 7), B128::splat(7));
-        assert_eq!(v.shift_lanes(99, 7), B128::splat(7));
     }
 
     #[test]
