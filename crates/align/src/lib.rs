@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod banded;
 pub mod blast;
 pub mod blastn;

@@ -20,11 +20,11 @@
 //! bounded wrap repair run, visiting each segment at most once per
 //! wrap under Farrar's termination test. Snytsar's further step — a
 //! `log2(L)`-step max-plus prefix scan folding all wraps into one
-//! pass — was implemented and measured slower on this crate's
-//! emulated vectors; see the comment in the column loop. The
-//! pre-deconstruction Farrar loop is kept as
-//! [`score_with_profile_ref`]/[`score_bytes_with_profile_ref`] for the
-//! bit-identity property tests and the speedup benchmark.
+//! pass — was implemented and measured slower on the portable
+//! `sapa_vsimd` bodies, before the 128-bit shapes had SSE2 bodies; see
+//! the comment in the column loop. The pre-deconstruction Farrar loop
+//! is kept as [`score_with_profile_ref`]/[`score_bytes_with_profile_ref`]
+//! for the bit-identity property tests and the speedup benchmark.
 //!
 //! Like SSW, every live entry point runs **one** column loop, generic
 //! over the lane scalar and the lane count of a
@@ -48,6 +48,15 @@
 //! 16-bit, bias subtraction in 8-bit), and a per-column step after the
 //! lazy-F correction does the rest — nothing for the 16-bit score, the
 //! saturation guard for bytes, endpoint tracking for the end pass.
+//!
+//! On x86_64 the 128-bit shapes the engines run (`Lanes<u8, 16>`,
+//! `Lanes<i16, 8>`) take `sapa_vsimd`'s SSE2 bodies, and the segment
+//! loop is one zipped pass with no per-segment index. Together they
+//! took the single-thread byte pass from about 2.0 to 4.2 GCUPS and
+//! the word and end passes from about 1.7 and 1.6 to 2.3 and 2.2
+//! (1,500 subjects × the 11 paper queries; the SSE2 bodies alone moved
+//! only the byte pass). The lazy-F findings above predate both; see
+//! DESIGN §5.12.
 //!
 //! Every variant is score-identical to the scalar Gotoh oracle
 //! ([`crate::sw::score`]); the property suite in `tests/properties.rs`
@@ -241,20 +250,27 @@ fn scan_columns<T: Precision, const L: usize>(
         let mut vh = ws.h_store[segs - 1].shift_in_first(T::ZERO);
         std::mem::swap(&mut ws.h_store, &mut ws.h_load);
 
-        for s in 0..segs {
-            // One aligned load replaces the anti-diagonal kernel's
-            // per-cell score gather.
-            let p = Lanes::<T, L>::from_slice(&row[s * L..]);
-            let e = ws.e[s];
-            vh = T::add_score(vh, p, bias).max(e).max(vf);
+        // One zipped pass over the segments: no per-segment index, so
+        // no per-segment bounds check between the vector ops.
+        let segments = ws.h_store[..segs]
+            .iter_mut()
+            .zip(&ws.h_load[..segs])
+            .zip(&mut ws.e[..segs])
+            .zip(row[..segs * L].chunks_exact(L));
+        for (((h_store, &h_load), e), p) in segments {
+            // One load replaces the anti-diagonal kernel's per-cell
+            // score gather.
+            let p = Lanes::<T, L>::from_slice(p);
+            let e_in = *e;
+            vh = T::add_score(vh, p, bias).max(e_in).max(vf);
             vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
+            *h_store = vh;
 
             let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
+            *e = e_in.subs(ext).max(h_open);
             vf = vf.subs(ext).max(h_open);
 
-            vh = ws.h_load[s];
+            vh = h_load;
         }
 
         // Deconstructed lazy-F (Snytsar): the common no-correction
@@ -266,14 +282,15 @@ fn scan_columns<T: Precision, const L: usize>(
         // because a positive F has to survive the zero floor. The
         // repair is spelled out inline: hoisting it into a helper —
         // even `#[inline(always)]`, even over plain slices —
-        // measurably pessimizes the surrounding loop's
+        // measurably pessimized the surrounding loop's
         // auto-vectorization, and `#[cold]`/`#[inline(never)]`
-        // variants cost ~5x by un-vectorizing the emulated vector
+        // variants cost ~5x by un-vectorizing the portable vector
         // ops. A log2(L)-step max-plus prefix scan folding all wraps
         // into one pass (Snytsar's formulation) also benched slower:
         // the folded F stays live across more segments than any
-        // single wrap, and emulated vectors have no branch-cost for
-        // the scan to amortize.
+        // single wrap, and the portable bodies have no branch cost
+        // for the scan to amortize. Both were measured on the
+        // portable bodies only, before the SSE2 ones existed.
         let mut vf = vf.shift_in_first(T::DEAD);
         if vf.any_gt(ws.h_store[0].subs(open_ext)) {
             'lazy: for _ in 0..L {

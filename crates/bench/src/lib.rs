@@ -5,6 +5,8 @@
 //! data, plus [`harness`] — a dependency-free Criterion-shaped timing
 //! harness (the container the suite builds in has no crates.io access).
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 
 use sapa_core::bioseq::db::DatabaseBuilder;

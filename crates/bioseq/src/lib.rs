@@ -28,6 +28,8 @@
 //! assert!(db.total_residues() > 10_000);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alphabet;
 pub mod compose;
 pub mod db;

@@ -47,6 +47,8 @@
 //! assert!(report.ipc() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// Biological sequences, FASTA I/O, scoring matrices, synthetic
 /// databases (re-export of `sapa-bioseq`).
 pub use sapa_bioseq as bioseq;

@@ -40,6 +40,8 @@
 //! assert!(report.cycles >= 100); // serial dependency chain
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod branch;
 pub mod cache;
 pub mod config;

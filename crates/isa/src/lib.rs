@@ -31,6 +31,8 @@
 //! assert_eq!(trace.stats().total(), 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod inst;
 pub mod mem;
 pub mod packed;

@@ -14,6 +14,8 @@
 //! assert!(out.contains("SSEARCH34"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod context;
 pub mod experiments;
 pub mod format;

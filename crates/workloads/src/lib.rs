@@ -31,6 +31,8 @@
 //! assert!(bundle.trace.len() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod blast;
 pub mod blastn;
 pub mod fasta;
